@@ -14,13 +14,28 @@ to the partition server for the (table, PartitionKey) range, the op's
 state.  Ops that size themselves from current state (query/delete pay
 for the bytes they touch) build their spec lazily, after the base
 latency, exactly where the pre-pipeline code did.
+
+State is a partition index, ``table -> PartitionKey -> {RowKey: Entity}``.
+A property-filter scan reads its partition through one immutable
+snapshot (a tuple of the rows in insertion order) that every scan of the
+unchanged partition shares; any write to the partition drops it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -38,20 +53,64 @@ from repro.storage.partition import OpSpec, PartitionServer
 _etags = itertools.count(1)
 
 
-@dataclass
 class Entity:
-    """One table row: property bag plus system columns."""
+    """One table row: property bag plus system columns.
 
-    partition_key: str
-    row_key: str
-    properties: Dict[str, Any] = field(default_factory=dict)
-    size_kb: float = 1.0
-    etag: int = field(default_factory=lambda: next(_etags))
-    timestamp: float = 0.0
+    Slotted, so a row carries no ``__dict__`` (the property-filter
+    partition holds ~220k of them).  Construction, equality, repr and
+    unhashability are those of a plain dataclass with these fields.
+    """
+
+    __slots__ = (
+        "partition_key", "row_key", "properties", "size_kb", "etag",
+        "timestamp",
+    )
+
+    def __init__(
+        self,
+        partition_key: str,
+        row_key: str,
+        properties: Optional[Dict[str, Any]] = None,
+        size_kb: float = 1.0,
+        etag: Optional[int] = None,
+        timestamp: float = 0.0,
+    ) -> None:
+        self.partition_key = partition_key
+        self.row_key = row_key
+        self.properties: Dict[str, Any] = (
+            {} if properties is None else properties
+        )
+        self.size_kb = size_kb
+        self.etag: int = next(_etags) if etag is None else etag
+        self.timestamp = timestamp
+
+    # Mutable and compared by value, so unhashable.
+    __hash__ = None  # type: ignore[assignment]
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def key(self) -> Tuple[str, str]:
         return (self.partition_key, self.row_key)
+
+
+#: RowKey -> entity for one partition, in insertion order.
+Partition = Dict[str, Entity]
+
+#: What reads see for an absent partition (never stored in the index).
+_NO_ROWS: Mapping[str, Entity] = MappingProxyType({})
 
 
 class TableService:
@@ -78,7 +137,9 @@ class TableService:
         # paper's workload uses a single partition, so contention
         # concentrates exactly as it did in the measurement.
         self._servers: Dict[Tuple[str, str], PartitionServer] = {}
-        self._tables: Dict[str, Dict[Tuple[str, str], Entity]] = {}
+        self._tables: Dict[str, Dict[str, Partition]] = {}
+        # (table, partition key) -> the partition's shared scan set.
+        self._snapshots: Dict[Tuple[str, str], Tuple[Entity, ...]] = {}
         self.pipeline = RequestPipeline(
             env,
             rng,
@@ -101,10 +162,10 @@ class TableService:
         return sorted(self._tables)
 
     def entity_count(self, table: str, partition_key: Optional[str] = None) -> int:
-        rows = self._entities(table)
+        partitions = self._entities(table)
         if partition_key is None:
-            return len(rows)
-        return sum(1 for (pk, _rk) in rows if pk == partition_key)
+            return sum(len(rows) for rows in partitions.values())
+        return len(partitions.get(partition_key, _NO_ROWS))
 
     def server_for(self, table: str, partition_key: str) -> PartitionServer:
         key = (table, partition_key)
@@ -128,28 +189,56 @@ class TableService:
         expansion target for domain-scoped faults)."""
         return [self._servers[key] for key in sorted(self._servers)]
 
+    def preload(self, table: str, entities: Iterable[Entity]) -> None:
+        """Materialize entities now, in order, stamped with the current
+        time, creating missing partitions and their servers.
+
+        This is the administrative bulk load (no request latency, no
+        events, no RNG draws -- the replica-priming analogue of
+        :meth:`BlobService.seed_blob`) and the commit step of
+        :meth:`insert` and :meth:`insert_batch`.  A key that already
+        exists raises, leaving the entities before it loaded."""
+        partitions = self._entities(table)
+        now = self.env.now
+        for entity in entities:
+            pk = entity.partition_key
+            rows = partitions.get(pk)
+            if rows is None:
+                rows = partitions[pk] = {}
+                self.server_for(table, pk)
+            elif entity.row_key in rows:
+                raise EntityAlreadyExistsError(
+                    f"{entity.key} already exists", service=self.name,
+                    op="table.insert",
+                )
+            entity.timestamp = now
+            rows[entity.row_key] = entity
+            self._snapshots.pop((table, pk), None)
+
     def seed_entity(self, table: str, entity: Entity) -> Entity:
-        """Administratively materialize an entity (and its partition
-        server) without paying request latency — the replica-priming
-        analogue of :meth:`BlobService.seed_blob`.  No events, no RNG."""
-        rows = self._entities(table)
-        if entity.key in rows:
-            raise EntityAlreadyExistsError(
-                f"{entity.key} already exists", service=self.name,
-                op="table.insert",
-            )
-        entity.timestamp = self.env.now
-        rows[entity.key] = entity
-        self.server_for(table, entity.partition_key)
+        """:meth:`preload` of one entity."""
+        self.preload(table, (entity,))
         return entity
 
-    def _entities(self, table: str) -> Dict[Tuple[str, str], Entity]:
-        rows = self._tables.get(table)
-        if rows is None:
+    def _entities(self, table: str) -> Dict[str, Partition]:
+        partitions = self._tables.get(table)
+        if partitions is None:
             raise EntityNotFoundError(
                 f"table {table!r} does not exist", service=self.name
             )
-        return rows
+        return partitions
+
+    def _snapshot(
+        self, table: str, partitions: Dict[str, Partition], pk: str
+    ) -> Tuple[Entity, ...]:
+        """The partition's scan set, shared until the next write to it."""
+        snap = self._snapshots.get((table, pk))
+        if snap is None:
+            rows = partitions.get(pk)
+            if rows is None:
+                return ()
+            snap = self._snapshots[(table, pk)] = tuple(rows.values())
+        return snap
 
     def _op(self, kind: str, size_kb: float, latch_key: Any) -> OpSpec:
         return OpSpec(
@@ -163,17 +252,10 @@ class TableService:
     # -- data plane ------------------------------------------------------------
     def insert(self, table: str, entity: Entity) -> Generator:
         """Insert a new entity; fails if the key already exists."""
-        rows = self._entities(table)
+        self._entities(table)  # a missing table fails before any latency
 
         def commit() -> Entity:
-            if entity.key in rows:
-                raise EntityAlreadyExistsError(
-                    f"{entity.key} already exists",
-                    service=self.name,
-                    op="table.insert",
-                )
-            entity.timestamp = self.env.now
-            rows[entity.key] = entity
+            self.preload(table, (entity,))
             return entity
 
         result = yield from self.pipeline.execute(
@@ -187,13 +269,15 @@ class TableService:
 
     def query(self, table: str, partition_key: str, row_key: str) -> Generator:
         """Point query by PartitionKey + RowKey (the fast, indexed path)."""
-        rows = self._entities(table)
+        partitions = self._entities(table)
         found: List[Optional[Entity]] = [None]
 
         def op() -> OpSpec:
             # Sized from the entity as it exists after the base latency
             # (you pay for the bytes the lookup touches).
-            found[0] = hit = rows.get((partition_key, row_key))
+            found[0] = hit = partitions.get(partition_key, _NO_ROWS).get(
+                row_key
+            )
             return self._op(
                 "query", hit.size_kb if hit else 0.5, latch_key=None
             )
@@ -226,10 +310,11 @@ class TableService:
         """Replace an entity.  ``if_match=None`` is the unconditional
         update the paper tests (no atomicity enforcement across clients,
         but the server still serializes writes to one entity)."""
-        rows = self._entities(table)
+        partitions = self._entities(table)
+        pk = entity.partition_key
 
         def commit() -> Entity:
-            current = rows.get(entity.key)
+            current = partitions.get(pk, _NO_ROWS).get(entity.row_key)
             if current is None:
                 raise EntityNotFoundError(
                     f"{entity.key} not found",
@@ -245,7 +330,9 @@ class TableService:
                 )
             entity.etag = next(_etags)
             entity.timestamp = self.env.now
-            rows[entity.key] = entity
+            # Replacing an existing key keeps its position in the partition.
+            partitions[pk][entity.row_key] = entity
+            self._snapshots.pop((table, pk), None)
             return entity
 
         result = yield from self.pipeline.execute(
@@ -261,11 +348,13 @@ class TableService:
 
     def delete(self, table: str, partition_key: str, row_key: str) -> Generator:
         """Delete an entity by key."""
-        rows = self._entities(table)
+        partitions = self._entities(table)
         found: List[Optional[Entity]] = [None]
 
         def op() -> OpSpec:
-            found[0] = hit = rows.get((partition_key, row_key))
+            found[0] = hit = partitions.get(partition_key, _NO_ROWS).get(
+                row_key
+            )
             return self._op(
                 "delete", hit.size_kb if hit else 0.5, latch_key="index"
             )
@@ -278,7 +367,11 @@ class TableService:
                     service=self.name,
                     op="table.delete",
                 )
-            del rows[hit.key]
+            rows = partitions[partition_key]
+            del rows[row_key]
+            if not rows:
+                del partitions[partition_key]
+            self._snapshots.pop((table, partition_key), None)
 
         yield from self.pipeline.execute(
             "table.delete",
@@ -308,21 +401,20 @@ class TableService:
         keys = [e.key for e in entities]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys within batch")
-        rows = self._entities(table)
+        partitions = self._entities(table)
         partition_key = next(iter(partition_keys))
         total_kb = sum(e.size_kb for e in entities)
 
         def commit() -> List[Entity]:
-            conflicts = [key for key in keys if key in rows]
+            existing = partitions.get(partition_key, _NO_ROWS)
+            conflicts = [key for key in keys if key[1] in existing]
             if conflicts:
                 raise EntityAlreadyExistsError(
                     f"batch aborted: {conflicts[0]} already exists",
                     service=self.name,
                     op="table.insert_batch",
                 )
-            for entity in entities:
-                entity.timestamp = self.env.now
-                rows[entity.key] = entity
+            self.preload(table, entities)
             return entities
 
         result = yield from self.pipeline.execute(
@@ -352,15 +444,16 @@ class TableService:
         """Property-filter query: scans the partition (no secondary
         indexes exist -- Section 6.1), so cost grows with partition size
         and the scan occupies a CPU core for its duration."""
-        rows = self._entities(table)
-        scanned: List[List[Entity]] = [[]]
+        partitions = self._entities(table)
+        scanned: List[Tuple[Entity, ...]] = [()]
 
         def op() -> OpSpec:
             # The scan set is captured after the base latency; its size
-            # sets the CPU cost.
-            scanned[0] = in_partition = [
-                e for e in rows.values() if e.partition_key == partition_key
-            ]
+            # sets the CPU cost.  Writes made while the scan waits for
+            # CPU replace the partition's snapshot, not this one.
+            scanned[0] = in_partition = self._snapshot(
+                table, partitions, partition_key
+            )
             scan_cpu = cal.TABLE_SCAN_S_PER_1K_ENTITIES * (
                 len(in_partition) / 1000.0
             )

@@ -141,10 +141,10 @@ def run_property_filter_test(
     svc.create_table("big")
     # Pre-populate administratively (simulating 220k inserts one by one
     # is not the point of this experiment).
-    rows = svc._tables["big"]
-    for i in range(n_entities):
-        e = make_entity("pk", f"r{i}", f1=i % 97)
-        rows[e.key] = e
+    svc.preload(
+        "big",
+        (make_entity("pk", f"r{i}", f1=i % 97) for i in range(n_entities)),
+    )
 
     outcomes = {"timeout": 0, "ok": 0}
     latencies: List[float] = []

@@ -135,8 +135,7 @@ def test_property_scan_cost_grows_with_partition_size():
     env2 = Environment()
     svc2 = _svc(env2)
     svc2.create_table("t")
-    for i in range(5000):
-        svc2._tables["t"][("p", f"r{i}")] = make_entity("p", f"r{i}")
+    svc2.preload("t", (make_entity("p", f"r{i}") for i in range(5000)))
     t0 = env2.now
     _run(env2, svc2.query_by_property("t", "p", lambda e: False))
     large_cost = env2.now - t0
@@ -173,3 +172,182 @@ def test_entity_key_and_timestamp():
     _run(env, svc.insert("t", e))
     assert e.timestamp > 0
     assert e.size_kb == 2.0
+
+
+# -- partition index and shared scan snapshots ------------------------------
+
+def _spy_snapshots(svc):
+    """Record (time, scan set) each time a scan captures its rows."""
+    seen = []
+    capture = svc._snapshot
+
+    def spy(*args):
+        snap = capture(*args)
+        seen.append((svc.env.now, snap))
+        return snap
+
+    svc._snapshot = spy
+    return seen
+
+
+def _scan_all(env, svc, n, predicate=lambda e: True):
+    """Start ``n`` concurrent scans of partition "p"; returns their results."""
+    results = [None] * n
+
+    def scanner(env, idx):
+        results[idx] = yield from svc.query_by_property("t", "p", predicate)
+
+    for idx in range(n):
+        env.process(scanner(env, idx))
+    return results
+
+
+def test_concurrent_scans_share_one_snapshot():
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    entities = [make_entity("p", f"r{i}", f1=i % 7) for i in range(300)]
+    svc.preload("t", entities)
+    svc.preload("t", [make_entity("q", "other", f1=3)])
+    seen = _spy_snapshots(svc)
+    predicate = lambda e: e.properties["f1"] == 3  # noqa: E731
+    results = _scan_all(env, svc, 12, predicate)
+    env.run()
+    assert len(seen) == 12
+    assert all(snap is seen[0][1] for _, snap in seen)
+    fresh = [e for e in entities if predicate(e)]
+    assert all(result == fresh for result in results)
+    assert all(a is b for a, b in zip(results[0], fresh))
+
+
+def _mutate_insert(env, svc):
+    _run(env, svc.insert("t", make_entity("p", "new")))
+
+
+def _mutate_update(env, svc):
+    _run(env, svc.update("t", make_entity("p", "r1", f1=99)))
+
+
+def _mutate_delete(env, svc):
+    _run(env, svc.delete("t", "p", "r1"))
+
+
+def _mutate_insert_batch(env, svc):
+    batch = [make_entity("p", "b1"), make_entity("p", "b2")]
+    _run(env, svc.insert_batch("t", batch))
+
+
+def _mutate_seed_entity(env, svc):
+    svc.seed_entity("t", make_entity("p", "new"))
+
+
+def _mutate_preload(env, svc):
+    svc.preload("t", [make_entity("p", "new1"), make_entity("p", "new2")])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _mutate_insert,
+        _mutate_update,
+        _mutate_delete,
+        _mutate_insert_batch,
+        _mutate_seed_entity,
+        _mutate_preload,
+    ],
+)
+def test_every_write_path_drops_the_snapshot(mutate):
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    svc.preload("t", (make_entity("p", f"r{i}") for i in range(5)))
+    seen = _spy_snapshots(svc)
+    before, _ = _run(env, svc.query_by_property("t", "p", lambda e: True))
+    mutate(env, svc)
+    after, _ = _run(env, svc.query_by_property("t", "p", lambda e: True))
+    assert seen[1][1] is not seen[0][1]
+    assert after != before
+    # The new snapshot is the partition in insertion order, with an
+    # update kept in place.
+    assert [e.row_key for e in after] == list(svc._tables["t"]["p"])
+    if mutate is _mutate_update:
+        assert [e.row_key for e in after] == [e.row_key for e in before]
+        assert after[1].properties["f1"] == 99
+
+
+def test_write_while_a_scan_waits_for_cpu_is_seen_by_the_next_scan():
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    svc.preload("t", (make_entity("p", f"r{i}") for i in range(5000)))
+    server = svc.server_for("t", "p")
+    seen = _spy_snapshots(svc)
+    # One scan more than the server has cores: the last one queues.
+    n_scans = server.cpu.capacity + 1
+    results = _scan_all(env, svc, n_scans)
+    late = make_entity("p", "late")
+
+    def writer(env):
+        yield env.timeout(0.1)
+        assert len(seen) == n_scans  # every scan has captured its rows
+        assert server.cpu.queue  # and at least one still waits for CPU
+        svc.seed_entity("t", late)
+
+    env.process(writer(env))
+    env.run()
+    assert all(len(result) == 5000 for result in results)
+    assert all(late not in result for result in results)
+    following, _ = _run(env, svc.query_by_property("t", "p", lambda e: True))
+    assert len(following) == 5001
+    assert following[-1] is late
+
+
+def test_reads_do_not_grow_the_index():
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    _, err = _run(env, svc.query("t", "ghost", "r"))
+    assert isinstance(err, EntityNotFoundError)
+    _, err = _run(env, svc.delete("t", "ghost", "r"))
+    assert isinstance(err, EntityNotFoundError)
+    hits, err = _run(env, svc.query_by_property("t", "ghost", lambda e: True))
+    assert err is None and hits == []
+    assert svc._tables["t"] == {}
+    assert svc._snapshots == {}
+    assert svc.entity_count("t", "ghost") == 0
+
+
+def test_deleting_the_last_row_drops_the_partition():
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    svc.preload("t", [make_entity("p", "r"), make_entity("q", "r")])
+    _run(env, svc.query_by_property("t", "p", lambda e: True))
+    _, err = _run(env, svc.delete("t", "p", "r"))
+    assert err is None
+    assert list(svc._tables["t"]) == ["q"]
+    assert ("t", "p") not in svc._snapshots
+    assert svc.entity_count("t", "p") == 0
+    assert svc.entity_count("t") == 1
+
+
+def test_preload_keeps_the_seed_checks():
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    env.run(until=5.0)
+    rng_state = svc.rng.bit_generator.state
+    loaded = [make_entity("p", "a"), make_entity("p2", "b")]
+    svc.preload("t", loaded)
+    assert all(e.timestamp == 5.0 for e in loaded)
+    assert [s.name for s in svc.servers()] == ["tables/t/p", "tables/t/p2"]
+    assert svc.rng.bit_generator.state == rng_state
+    assert env.peek() == float("inf")  # no events scheduled
+    with pytest.raises(EntityAlreadyExistsError):
+        svc.preload("t", [make_entity("p", "c"), make_entity("p", "a")])
+    # Entities before the duplicate stay loaded.
+    assert svc.entity_count("t", "p") == 2
+    with pytest.raises(EntityAlreadyExistsError):
+        svc.seed_entity("t", make_entity("p2", "b"))
+    with pytest.raises(EntityNotFoundError):
+        svc.preload("ghost", [make_entity("p", "a")])
