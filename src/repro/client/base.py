@@ -56,7 +56,14 @@ def race_timeout(
         result = yield from operation
         return result
     proc = env.process(operation)
-    yield Race(env, proc, timeout_s)
+    try:
+        yield Race(env, proc, timeout_s)
+    except BaseException:
+        # The operation failed.  Its exception's traceback holds this
+        # frame, so drop the process (which holds the exception) first:
+        # otherwise every failed call leaves a cycle for the GC.
+        del proc
+        raise
     if proc._processed:
         if not proc._ok:
             raise proc._value

@@ -80,7 +80,7 @@ class FlowNetwork:
 
         net = FlowNetwork(env)
         flow = net.transfer([nic, uplink, server_nic], size_mb=1000)
-        elapsed_info = yield flow.done   # fires at completion
+        yield flow.done   # fires (with None) at completion
 
     ``dynamic_cap`` hooks allow services to impose a per-flow ceiling
     that depends on current concurrency (the storage front-end curves).
@@ -113,7 +113,9 @@ class FlowNetwork:
         label: str = "",
     ) -> Flow:
         """Begin a transfer; returns the Flow whose ``done`` event fires
-        with the flow itself when the last byte arrives."""
+        (with ``None``) when the last byte arrives.  Firing with the flow
+        itself would link the two both ways, one reference cycle per
+        transfer for the cyclic collector to find."""
         if size_mb <= 0:
             raise ValueError(f"size_mb must be > 0, got {size_mb}")
         if not links and cap is None:
@@ -238,7 +240,7 @@ class FlowNetwork:
             state.remove_flow(flow)
             flow.remaining_mb = 0.0
             self.completed_count += 1
-            flow.done.succeed(flow)
+            flow.done.succeed()
         self._reschedule()
 
     def snapshot(self) -> Dict[str, float]:

@@ -5,12 +5,18 @@ emits one :class:`RequestTrace` (op kind, payload size, queue wait,
 transfer time, outcome); every client call that runs through
 :class:`repro.client.service_client.ServiceClient` emits a second,
 call-level record carrying the retry count.  Both land in a
-:class:`RequestTracer`, which is a bounded window over
-:class:`repro.simcore.tracing.TraceRecorder` plus exact running
-aggregates and per-``(service, op)`` streaming latency histograms
-(:class:`repro.observability.histogram.Histogram`) — so a full-scale
-experiment can keep tracing on without the event list growing with the
-run, and percentiles survive the window trimming.
+:class:`RequestTracer`, which is a bounded window of recent records plus
+exact running aggregates and per-``(service, op)`` streaming latency
+histograms (:class:`repro.observability.histogram.Histogram`) — so a
+full-scale experiment can keep tracing on without the window growing
+with the run, and percentiles survive the window trimming.
+
+The window stores each record as one flat tuple of atomic values (the
+kind, then the :class:`RequestTrace` fields), not as the trace object:
+the cyclic garbage collector untracks such a tuple the first time it
+sees it, so a window of 10^5 records adds nothing to the collector's
+per-collection work.  :meth:`RequestTracer.records` and
+:meth:`RequestTracer.client_calls` rebuild the traces on demand.
 
 The tracer is read back through :mod:`repro.monitoring`
 (:func:`~repro.monitoring.attach_request_tracer`,
@@ -24,12 +30,11 @@ emit one causal span tree per request (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.observability.histogram import Histogram
-from repro.simcore.tracing import TraceRecorder
 
 #: Outcome value recorded for a request that completed without error.
 OK = "ok"
@@ -76,7 +81,7 @@ class RequestTracer:
     ``capacity=None`` to retain everything.
     """
 
-    #: Trace kinds used on the underlying recorder.
+    #: Record kinds, the first field of every window row.
     REQUEST_KIND = "request"
     CLIENT_KIND = "client_call"
 
@@ -85,8 +90,11 @@ class RequestTracer:
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive (or None)")
-        self.recorder = TraceRecorder(enabled=enabled)
+        #: Ingestion switch: while False every ``observe*`` is a no-op.
+        self.enabled = enabled
         self.capacity = capacity
+        #: The retained window: ``(kind, *RequestTrace fields)`` rows.
+        self._rows: List[Tuple[Any, ...]] = []
         self.dropped = 0
         self.total = 0
         self.errors = 0
@@ -102,14 +110,10 @@ class RequestTracer:
         #: and pipeline layers emit causal spans into it.
         self.spans = None  # type: Optional[object]
 
-    @property
-    def enabled(self) -> bool:
-        return self.recorder.enabled
-
     # -- ingestion ---------------------------------------------------------
     def observe(self, trace: RequestTrace) -> None:
         """Record one server-side request trace."""
-        if not self.recorder.enabled:
+        if not self.enabled:
             return
         self.total += 1
         if not trace.ok:
@@ -119,7 +123,7 @@ class RequestTracer:
 
     def observe_call(self, trace: RequestTrace) -> None:
         """Record one client-call trace (whole retried operation)."""
-        if not self.recorder.enabled:
+        if not self.enabled:
             return
         self.client_total += 1
         if not trace.ok:
@@ -158,7 +162,7 @@ class RequestTracer:
         pure cohort traffic while totals, aggregates and percentiles
         remain exact.
         """
-        if not self.recorder.enabled:
+        if not self.enabled:
             return
         arr = np.asarray(latencies, dtype=float).reshape(-1)
         n = int(arr.size)
@@ -256,33 +260,33 @@ class RequestTracer:
             hist.observe(trace.latency_s)
 
     def _append(self, kind: str, trace: RequestTrace) -> None:
-        self.recorder.record(trace.finished_at, kind, trace=trace)
+        rows = self._rows
+        rows.append((
+            kind, trace.service, trace.op, trace.started_at,
+            trace.finished_at, trace.size_mb, trace.base_latency_s,
+            trace.queue_wait_s, trace.server_s, trace.transfer_s,
+            trace.retries, trace.outcome,
+        ))
         cap = self.capacity
         if cap is None:
             return
-        events = self.recorder.events
         # Trim in blocks so retention is O(1) amortized per record.
-        if len(events) >= cap + max(cap // 4, 1):
-            drop = len(events) - cap
-            del events[:drop]
+        if len(rows) >= cap + max(cap // 4, 1):
+            drop = len(rows) - cap
+            del rows[:drop]
             self.dropped += drop
+
+    def _rebuild(self, kind: str) -> List[RequestTrace]:
+        return [RequestTrace(*row[1:]) for row in self._rows if row[0] == kind]
 
     # -- retrieval ---------------------------------------------------------
     def records(self) -> List[RequestTrace]:
         """Retained server-side request traces, oldest first."""
-        return [
-            e.data["trace"]
-            for e in self.recorder.events
-            if e.kind == self.REQUEST_KIND
-        ]
+        return self._rebuild(self.REQUEST_KIND)
 
     def client_calls(self) -> List[RequestTrace]:
         """Retained client-call traces, oldest first."""
-        return [
-            e.data["trace"]
-            for e in self.recorder.events
-            if e.kind == self.CLIENT_KIND
-        ]
+        return self._rebuild(self.CLIENT_KIND)
 
     def of_op(self, op: str) -> List[RequestTrace]:
         return [t for t in self.records() if t.op == op]
@@ -408,7 +412,7 @@ class RequestTracer:
         return tracer
 
     def clear(self) -> None:
-        self.recorder.events.clear()
+        self._rows.clear()
         self.dropped = 0
         self.total = 0
         self.errors = 0

@@ -239,6 +239,12 @@ class Race(Event):
     contender, exactly as :class:`Condition` would) if the contender
     fails first.  The deadline Timeout must stay private to the race:
     nothing else may wait on it, since a cancelled event never fires.
+
+    The race is linked both ways with its deadline and its contender
+    (each holds a bound method of the race in a callback slot).  Once
+    the race settles or expires it drops ``contender`` and ``deadline``,
+    and a cancelled deadline drops its callback, so no reference cycle
+    outlives the race and reference counting frees all three.
     """
 
     __slots__ = ("contender", "deadline")
@@ -277,8 +283,10 @@ class Race(Event):
         deadline = self.deadline
         if not deadline._processed:
             # Inlined deadline.cancel(): the deadline is private to the
-            # race, so no waiter slots need clearing.
+            # race, so its only callback is this race's own.
             deadline._cancelled = True
+            deadline._cb1 = None
+        self.contender = self.deadline = None
         if contender._ok:
             # Inlined self.succeed(contender._value): the common win.
             self._value = contender._value
@@ -291,6 +299,7 @@ class Race(Event):
 
     def _expire(self, _deadline: Event) -> None:
         if self._value is PENDING:
+            self.contender = self.deadline = None
             self.succeed(None)
 
 

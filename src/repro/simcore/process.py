@@ -14,6 +14,24 @@ foreign-environment guards run inside one optimistic ``try`` block on
 the wait path, and the process attaches its own pre-bound callback
 (``_resume_cb``) directly into the target event's callback slots
 instead of going through ``add_callback``.
+
+The pre-bound callback makes every live process a reference cycle
+(process -> bound method -> process).  A process that finishes, by
+returning or by raising, drops ``_resume_cb``, ``_generator`` and
+``_send``, so a finished process is freed by reference counting as soon
+as its last waiter lets go, and the cyclic collector never has to find
+it (one process per client operation would otherwise be one cycle per
+operation).
+
+Exceptions need one more step.  A failed event or process holds its
+exception, whose traceback holds the frames it passed through; once
+such a frame exits, it keeps its locals and (on Python 3.12+) its
+caller's frame and locals too.  The caller of a process's generator is
+``_resume`` (reached from ``_InterruptEvent._deliver`` for interrupts),
+whose locals are the process and the event that resumed it, both of
+which may hold that exception.  So both frames drop their locals on the
+way out of a finished process; otherwise every failure or interrupt
+would leave a cycle.
 """
 
 from __future__ import annotations
@@ -53,6 +71,9 @@ class _InterruptEvent(Event):
             target.remove_callback(process._resume_cb)
         process._waiting_on = None
         process._resume(event)
+        # The interrupt's traceback may reach this frame (see the
+        # module docstring): drop what holds the exception.
+        event = process = target = None
 
 
 class Process(Event):
@@ -139,39 +160,37 @@ class Process(Event):
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
+                    # Finished: drop the self-referencing callback and
+                    # the generator (see the module docstring).
+                    self._generator = self._send = self._resume_cb = None
                     env._seq = seq = env._seq + 1
                     _heappush(env._queue, (env._now, seq, self))
+                    self = event = send = resume_cb = target = None
                     return
                 except BaseException as exc:
-                    self._ok = False
-                    self._value = exc
-                    env._seq = seq = env._seq + 1
-                    _heappush(env._queue, (env._now, seq, self))
+                    self._finish_failed(exc)
+                    # A traceback through this frame keeps its locals
+                    # alive (see the module docstring).
+                    self = event = send = resume_cb = target = None
                     return
 
                 # Optimistic wait path: anything without Event's slots
                 # drops to the AttributeError arm below.
                 try:
                     if target.env is not env:
-                        exc = RuntimeError(
+                        self._finish_failed(RuntimeError(
                             f"process {self.name!r} yielded an event from "
                             "another environment"
-                        )
-                        self._ok = False
-                        self._value = exc
-                        env._enqueue(0.0, self)
+                        ))
                         return
                     if not target._processed:
                         if target._cancelled:
                             # A cancelled event never fires; waiting on
                             # one would hang the process silently.
-                            exc = RuntimeError(
+                            self._finish_failed(RuntimeError(
                                 f"process {self.name!r} yielded a "
                                 "cancelled event"
-                            )
-                            self._ok = False
-                            self._value = exc
-                            env._enqueue(0.0, self)
+                            ))
                             return
                         self._waiting_on = target
                         # Inlined add_callback on the wait path.
@@ -183,17 +202,21 @@ class Process(Event):
                             target._cbs.append(resume_cb)
                         return
                 except AttributeError:
-                    exc = RuntimeError(
+                    self._finish_failed(RuntimeError(
                         f"process {self.name!r} yielded non-event {target!r}"
-                    )
-                    self._ok = False
-                    self._value = exc
-                    env._enqueue(0.0, self)
+                    ))
                     return
                 # Already processed — resume immediately with its value.
                 event = target
         finally:
             env._active_process = prev
+
+    def _finish_failed(self, exc: BaseException) -> None:
+        """End the process with ``exc``, dropping its back-references."""
+        self._ok = False
+        self._value = exc
+        self._generator = self._send = self._resume_cb = None
+        self.env._enqueue(0.0, self)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "finished"

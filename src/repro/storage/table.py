@@ -18,7 +18,9 @@ latency, exactly where the pre-pipeline code did.
 State is a partition index, ``table -> PartitionKey -> {RowKey: Entity}``.
 A property-filter scan reads its partition through one immutable
 snapshot (a tuple of the rows in insertion order) that every scan of the
-unchanged partition shares; any write to the partition drops it.
+unchanged partition shares; any write to the partition drops it.  The
+snapshot also memoizes each predicate's matches, so concurrent scans
+with one filter evaluate it once per row between them.
 """
 
 from __future__ import annotations
@@ -113,6 +115,29 @@ Partition = Dict[str, Entity]
 _NO_ROWS: Mapping[str, Entity] = MappingProxyType({})
 
 
+class _ScanSnapshot:
+    """One partition's scan set, plus the filter results computed on it.
+
+    ``rows`` is the partition in insertion order when the snapshot was
+    taken.  Matches are memoized per predicate object, so they live and
+    die with the snapshot: a write to the partition drops both.
+    """
+
+    __slots__ = ("rows", "_matches")
+
+    def __init__(self, rows: Tuple[Entity, ...]) -> None:
+        self.rows = rows
+        self._matches: Dict[Callable[[Entity], bool], Tuple[Entity, ...]] = {}
+
+    def matching(self, predicate: Callable[[Entity], bool]) -> List[Entity]:
+        """The rows ``predicate`` accepts, in order, as a fresh list."""
+        hits = self._matches.get(predicate)
+        if hits is None:
+            hits = tuple(e for e in self.rows if predicate(e))
+            self._matches[predicate] = hits
+        return list(hits)
+
+
 class TableService:
     """A table storage account endpoint.
 
@@ -139,7 +164,7 @@ class TableService:
         self._servers: Dict[Tuple[str, str], PartitionServer] = {}
         self._tables: Dict[str, Dict[str, Partition]] = {}
         # (table, partition key) -> the partition's shared scan set.
-        self._snapshots: Dict[Tuple[str, str], Tuple[Entity, ...]] = {}
+        self._snapshots: Dict[Tuple[str, str], _ScanSnapshot] = {}
         self.pipeline = RequestPipeline(
             env,
             rng,
@@ -230,14 +255,15 @@ class TableService:
 
     def _snapshot(
         self, table: str, partitions: Dict[str, Partition], pk: str
-    ) -> Tuple[Entity, ...]:
+    ) -> _ScanSnapshot:
         """The partition's scan set, shared until the next write to it."""
         snap = self._snapshots.get((table, pk))
         if snap is None:
             rows = partitions.get(pk)
             if rows is None:
-                return ()
-            snap = self._snapshots[(table, pk)] = tuple(rows.values())
+                return _ScanSnapshot(())
+            snap = _ScanSnapshot(tuple(rows.values()))
+            self._snapshots[(table, pk)] = snap
         return snap
 
     def _op(self, kind: str, size_kb: float, latch_key: Any) -> OpSpec:
@@ -443,19 +469,24 @@ class TableService:
     ) -> Generator:
         """Property-filter query: scans the partition (no secondary
         indexes exist -- Section 6.1), so cost grows with partition size
-        and the scan occupies a CPU core for its duration."""
+        and the scan occupies a CPU core for its duration.
+
+        ``predicate`` must be a pure function of the row: scans of one
+        unchanged partition with the same predicate object share one
+        evaluation per row (see :class:`_ScanSnapshot`).  Each call
+        returns its own list of the matching rows, in partition order.
+        """
         partitions = self._entities(table)
-        scanned: List[Tuple[Entity, ...]] = [()]
+        scanned: List[_ScanSnapshot] = []
 
         def op() -> OpSpec:
             # The scan set is captured after the base latency; its size
             # sets the CPU cost.  Writes made while the scan waits for
             # CPU replace the partition's snapshot, not this one.
-            scanned[0] = in_partition = self._snapshot(
-                table, partitions, partition_key
-            )
+            snap = self._snapshot(table, partitions, partition_key)
+            scanned.append(snap)
             scan_cpu = cal.TABLE_SCAN_S_PER_1K_ENTITIES * (
-                len(in_partition) / 1000.0
+                len(snap.rows) / 1000.0
             )
             return OpSpec(
                 name="table.scan",
@@ -471,7 +502,7 @@ class TableService:
             op,
             base_latency_s=cal.TABLE_BASE_LATENCY_S["query"],
             route=(table, partition_key),
-            commit=lambda: [e for e in scanned[0] if predicate(e)],
+            commit=lambda: scanned[0].matching(predicate),
         )
         return result
 

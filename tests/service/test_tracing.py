@@ -1,5 +1,7 @@
 """Unit tests for the bounded request tracer."""
 
+import gc
+
 import pytest
 
 from repro.service.tracing import OK, RequestTrace, RequestTracer
@@ -151,3 +153,94 @@ def test_clear_resets_everything():
     assert tracer.dropped == 0 and tracer.retries == 0
     assert tracer.records() == [] and tracer.client_calls() == []
     assert tracer.per_op_totals() == {}
+
+
+# -- the retained window --------------------------------------------------
+
+def _varied(i, **kw):
+    return _trace(
+        op=f"svc.op{i % 3}",
+        started_at=float(i),
+        finished_at=i + 0.5,
+        size_mb=0.25 * i,
+        base_latency_s=0.01,
+        queue_wait_s=0.002 * i,
+        server_s=0.003,
+        transfer_s=0.004 * i,
+        outcome=OK if i % 4 else "ServerBusyError",
+        **kw,
+    )
+
+
+def test_window_returns_field_equal_traces_in_order():
+    tracer = RequestTracer()
+    requests, calls = [], []
+    for i in range(12):
+        request = _varied(i)
+        call = _varied(i, retries=i % 3)
+        tracer.observe(request)
+        tracer.observe_call(call)
+        requests.append(request)
+        calls.append(call)
+    assert tracer.records() == requests
+    assert tracer.client_calls() == calls
+    assert tracer.of_op("svc.op1") == [t for t in requests if t.op == "svc.op1"]
+    # Rebuilt on demand: callers cannot reach the window through them.
+    tracer.records()[0].op = "changed"
+    assert tracer.records()[0] == requests[0]
+
+
+@pytest.mark.parametrize(
+    "observes, kept, dropped",
+    # Capacity 8 trims in blocks: at 8 + max(8 // 4, 1) = 10 retained
+    # records it drops back to 8.
+    [(8, 8, 0), (9, 9, 0), (10, 8, 2), (11, 9, 2), (12, 8, 4)],
+)
+def test_window_trims_in_blocks(observes, kept, dropped):
+    tracer = RequestTracer(capacity=8)
+    traces = [_varied(i) for i in range(observes)]
+    for trace in traces:
+        tracer.observe(trace)
+    assert tracer.dropped == dropped
+    assert tracer.records() == traces[observes - kept:]
+    assert tracer.total == observes
+
+
+def test_window_trims_both_kinds_together():
+    tracer = RequestTracer(capacity=8)
+    for i in range(5):
+        tracer.observe(_varied(i))
+        tracer.observe_call(_varied(i))
+    assert tracer.dropped == 2
+    assert len(tracer.records()) + len(tracer.client_calls()) == 8
+    assert [t.started_at for t in tracer.records()] == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_enabled_is_a_switch_and_clear_empties_the_window():
+    tracer = RequestTracer(capacity=8)
+    tracer.observe(_varied(1))
+    tracer.enabled = False
+    tracer.observe(_varied(2))
+    tracer.observe_call(_varied(3))
+    tracer.observe_batch("svc", "svc.op", [0.1, 0.2])
+    assert tracer.total == 1 and tracer.client_total == 0
+    assert tracer.records() == [_varied(1)]
+    tracer.enabled = True
+    tracer.observe(_varied(4))
+    assert tracer.records() == [_varied(1), _varied(4)]
+    for i in range(20):
+        tracer.observe(_varied(i))
+    tracer.clear()
+    assert tracer.records() == [] and tracer.dropped == 0
+    tracer.observe(_varied(5))
+    assert tracer.records() == [_varied(5)] and tracer.total == 1
+
+
+def test_window_rows_are_untracked_by_the_collector():
+    tracer = RequestTracer()
+    for i in range(10):
+        tracer.observe(_varied(i))
+        tracer.observe_call(_varied(i, retries=1))
+    gc.collect()
+    assert tracer._rows
+    assert not any(gc.is_tracked(row) for row in tracer._rows)

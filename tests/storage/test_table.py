@@ -351,3 +351,85 @@ def test_preload_keeps_the_seed_checks():
         svc.seed_entity("t", make_entity("p2", "b"))
     with pytest.raises(EntityNotFoundError):
         svc.preload("ghost", [make_entity("p", "a")])
+
+
+# -- memoized filter results on the scan snapshot ----------------------------
+
+class _CountingPredicate:
+    """``f1 == 3``, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, entity):
+        self.calls += 1
+        return entity.properties["f1"] == 3
+
+
+def _filled(n=300):
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    svc.preload("t", [make_entity("p", f"r{i}", f1=i % 7) for i in range(n)])
+    return env, svc
+
+
+def test_concurrent_scans_share_one_filter_evaluation():
+    env, svc = _filled(300)
+    predicate = _CountingPredicate()
+    results = _scan_all(env, svc, 12, predicate)
+    env.run()
+    assert predicate.calls == 300
+    expected = [e for e in svc._tables["t"]["p"].values()
+                if e.properties["f1"] == 3]
+    assert all(result == expected for result in results)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _mutate_insert,
+        _mutate_update,
+        _mutate_delete,
+        _mutate_insert_batch,
+        _mutate_seed_entity,
+        _mutate_preload,
+    ],
+)
+def test_every_write_path_drops_the_memo(mutate):
+    env, svc = _filled(5)
+    predicate = _CountingPredicate()
+    _run(env, svc.query_by_property("t", "p", predicate))
+    _run(env, svc.query_by_property("t", "p", predicate))
+    assert predicate.calls == 5
+    mutate(env, svc)
+    after, _ = _run(env, svc.query_by_property("t", "p", predicate))
+    rows = list(svc._tables["t"]["p"].values())
+    assert predicate.calls == 5 + len(rows)
+    assert after == [e for e in rows if e.properties["f1"] == 3]
+
+
+def test_different_predicates_do_not_share_a_result():
+    env, svc = _filled(70)
+    threes, _ = _run(env, svc.query_by_property(
+        "t", "p", lambda e: e.properties["f1"] == 3))
+    fours, _ = _run(env, svc.query_by_property(
+        "t", "p", lambda e: e.properties["f1"] == 4))
+    assert len(threes) == len(fours) == 10
+    assert all(e.properties["f1"] == 3 for e in threes)
+    assert all(e.properties["f1"] == 4 for e in fours)
+
+
+def test_each_scan_gets_its_own_list():
+    env, svc = _filled(70)
+    predicate = _CountingPredicate()
+    results = _scan_all(env, svc, 3, predicate)
+    env.run()
+    assert predicate.calls == 70
+    assert results[0] is not results[1]
+    results[0].clear()
+    results[1].append("junk")
+    later, _ = _run(env, svc.query_by_property("t", "p", predicate))
+    assert predicate.calls == 70
+    assert len(results[2]) == len(later) == 10
+    assert "junk" not in later
