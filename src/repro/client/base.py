@@ -1,8 +1,10 @@
 """Shared client plumbing: timeout racing and the retry loop.
 
 ``with_retries`` is the standard call path every typed client funnels
-through.  Beyond the seed's timeout-race + bounded-retry it now
-consults the optional resilience hooks from :mod:`repro.resilience`:
+through (``measured_call`` wraps its result in an
+:class:`OperationOutcome`).  Beyond the seed's timeout-race +
+bounded-retry it now consults the optional resilience hooks from
+:mod:`repro.resilience`:
 
 * a **retry budget** (token bucket) is charged before every backoff
   sleep — when the group's budget is exhausted the retry is *shed* and
@@ -81,26 +83,32 @@ def with_retries(
     policy: RetryPolicy,
     timeout_s: Optional[float],
     description: str = "operation",
-    on_retry: Optional[Callable[[BaseException, int], None]] = None,
     budget: Optional[Any] = None,
     breaker: Optional[Any] = None,
 ) -> Generator:
     """The standard client call path: timeout racing plus bounded retry.
 
+    Returns ``(result, error, retries)``: the final (post-retry)
+    ``Exception`` (then ``result`` is None) or None, and the number of
+    retries taken.  Errors come back as values, so callers count
+    retries and fail over without a closure or a ``try`` per call.
+
     ``budget`` (a :class:`~repro.resilience.budget.RetryBudget`) and
     ``breaker`` (a :class:`~repro.resilience.breaker.CircuitBreaker`)
-    are optional; when absent the behaviour is the seed's.
-
-    Only ``Exception`` is caught for retry classification: kernel
-    control-flow exceptions (``GeneratorExit``, ``KeyboardInterrupt``)
-    must never be retried, whatever the policy says.
+    are optional; an open breaker's error is returned at once, neither
+    fed back to it nor retried.  Only ``Exception`` is caught for retry
+    classification: kernel control-flow exceptions (``GeneratorExit``,
+    ``KeyboardInterrupt``) propagate, whatever the policy says.
     """
     if budget is not None:
         budget.record_call()
-    attempt = 0
+    retries = 0
     while True:
         if breaker is not None:
-            breaker.guard(description)
+            try:
+                breaker.guard(description)
+            except Exception as error:
+                return None, error, retries
         try:
             result = yield from race_timeout(
                 env, make_operation(), timeout_s, description
@@ -108,18 +116,17 @@ def with_retries(
         except Exception as error:
             if breaker is not None:
                 breaker.on_failure(error)
-            if not policy.should_retry(error, attempt):
-                raise
-            if budget is not None and not budget.try_spend():
-                raise  # retry shed: the group's budget is exhausted
-            if on_retry is not None:
-                on_retry(error, attempt)
-            yield env.timeout(policy.backoff(attempt))
-            attempt += 1
+            if not policy.should_retry(error, retries) or (
+                # A shed retry: the group's budget is exhausted.
+                budget is not None and not budget.try_spend()
+            ):
+                return None, error, retries
+            yield env.timeout(policy.backoff(retries))
+            retries += 1
         else:
             if breaker is not None:
                 breaker.on_success()
-            return result
+            return result, None, retries
 
 
 class OperationOutcome:
@@ -163,16 +170,7 @@ def measured_call(
 ) -> Generator:
     """Run a client call and return (result_or_None, OperationOutcome)."""
     start = env.now
-    retries = {"n": 0}
-
-    def count_retry(_error: BaseException, _attempt: int) -> None:
-        retries["n"] += 1
-
-    try:
-        result = yield from with_retries(
-            env, make_operation, policy, timeout_s, description, count_retry,
-            budget=budget, breaker=breaker,
-        )
-    except Exception as error:  # noqa: BLE001 - recorded, not swallowed
-        return None, OperationOutcome(start, env.now, error, retries["n"])
-    return result, OperationOutcome(start, env.now, None, retries["n"])
+    result, error, retries = yield from with_retries(
+        env, make_operation, policy, timeout_s, description, budget, breaker
+    )
+    return result, OperationOutcome(start, env.now, error, retries)

@@ -3,10 +3,10 @@
 The three 2009-style clients (blob, table, queue) share one call path:
 an attempt factory (optionally hedged for idempotent reads) run through
 :func:`repro.client.base.with_retries` — timeout race, bounded retry,
-optional retry budget and circuit breaker — or through
-:func:`repro.client.base.measured_call` for the ``*_measured`` variants
-the benchmark drivers use.  :class:`ServiceClient` specifies that wiring
-once; a typed client is then just an op table::
+optional retry budget and circuit breaker.  :meth:`ServiceClient._call`
+specifies that wiring once (the ``*_measured`` variants the benchmark
+drivers use wrap it to return an outcome instead of raising); a typed
+client is then just an op table::
 
     class QueueClient(ServiceClient):
         def peek(self, queue):
@@ -53,9 +53,9 @@ no extra span attributes, bit-identical golden outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, List, Optional
 
-from repro.client.base import OperationOutcome, measured_call, with_retries
+from repro.client.base import OperationOutcome, with_retries
 from repro.observability import spans as spanlib
 from repro.observability.spans import Span, SpanTracer
 from repro.resilience.backoff import RetryPolicy
@@ -215,17 +215,18 @@ class ServiceClient:
         hedgeable: bool,
         spans: Optional[SpanTracer],
         call_span: Optional[Span],
-        counter: list,
+        counter: Optional[List[int]],
         replica: Optional[str],
     ) -> Callable[[], Generator]:
         """Compose one replica's attempt factory: routing, write guard,
-        attempt span."""
+        attempt span.  A single-replica client without a write guard or
+        spans gets ``make`` back unwrapped."""
         inner = make
         if replica is not None:
             inner = self._routed(make, replica)
         if self.write_guard is not None and not hedgeable:
             inner = self._write_guarded(kind, inner, replica or "primary")
-        if spans is not None and call_span is not None:
+        if spans is not None and call_span is not None and counter is not None:
             inner = self._spanned(kind, inner, spans, call_span, counter,
                                   replica)
         return inner
@@ -246,19 +247,13 @@ class ServiceClient:
             )
         return make
 
-    def _span_tracer(self) -> Optional[SpanTracer]:
-        spans = getattr(self.tracer, "spans", None)
-        if spans is None or not spans.enabled:
-            return None
-        return spans
-
     def _spanned(
         self,
         kind: str,
         make: Callable[[], Generator],
         spans: SpanTracer,
         call_span: Span,
-        counter: list,
+        counter: List[int],
         replica: Optional[str] = None,
     ) -> Callable[[], Generator]:
         """Wrap the *raw* attempt factory so every invocation — each
@@ -284,111 +279,98 @@ class ServiceClient:
 
         return factory
 
-    def _use_failover(self) -> bool:
-        return self.secondary is not None and self.failover.enabled
-
-    def _note_failover(self, replica: str) -> None:
-        self.failovers += 1
-        if replica == "secondary" and self.failover.pin_secondary_s > 0:
-            self._pinned_until = (
-                self.env.now + self.failover.pin_secondary_s
-            )
-
     def _call(
         self,
         kind: str,
         make: Callable[[], Generator],
         hedgeable: bool = False,
+        outcome: Optional[OperationOutcome] = None,
     ) -> Generator:
-        """Raising variant: result or the final (post-retry) error."""
-        spans = self._span_tracer()
-        call_span = None
-        counter = [0]
-        if spans is not None:
+        """The one call path: attempts with retries (and hedging where
+        allowed), the cross-replica failover pass, the commit hook, the
+        call-level trace and the ``call:<op>`` span.
+
+        Returns the result or raises the final (post-retry) error.  When
+        ``outcome`` is given the call is recorded into it instead, and a
+        failed call returns None (see :meth:`_call_measured`).
+        """
+        env = self.env
+        spans = getattr(self.tracer, "spans", None)
+        call_span: Optional[Span] = None
+        counter: Optional[List[int]] = None
+        if spans is not None and spans.enabled:
             call_span = spans.start(
-                f"call:{kind}",
-                spanlib.CLIENT,
-                self.env.now,
-                parent=spans.current,
-                op=kind,
+                f"call:{kind}", spanlib.CLIENT, env.now,
+                parent=spans.current, op=kind,
             )
-        started_at = self.env.now
-        retries = [0]
-
-        def count_retry(_error: BaseException, _attempt: int) -> None:
-            retries[0] += 1
-
-        def leg(replica: Optional[str]) -> Callable[[], Generator]:
-            return self._leg(kind, make, hedgeable, spans, call_span,
-                             counter, replica)
-
-        if not self._use_failover():
-            replica = None if self.secondary is None else (
-                self._default_replica()
-            )
-            factory = self._attempt(kind, leg(replica), hedgeable)
-            try:
-                result = yield from with_retries(
-                    self.env, factory, self.retry, self.timeout_s, kind,
-                    on_retry=count_retry,
-                    budget=self.budget, breaker=self.breaker,
-                )
-            except Exception as error:
-                self._trace_call(kind, started_at, retries[0], error)
-                if spans is not None and call_span is not None:
-                    call_span.attributes["retries"] = retries[0]
-                    spans.finish(call_span, self.env.now,
-                                 type(error).__name__)
-                raise
-            self._commit_hook(kind, replica or "primary")
-            self._trace_call(kind, started_at, retries[0], None)
-            if spans is not None and call_span is not None:
-                call_span.attributes["retries"] = retries[0]
-                spans.finish(call_span, self.env.now)
-            return result
-
-        first = self._default_replica()
+            counter = [0]  # shared by the call's legs: attempts stay ordered
+        started_at = env.now
+        secondary = self.secondary
+        failover = secondary is not None and self.failover.enabled
+        first = None if secondary is None else self._default_replica()
         second = "secondary" if first == "primary" else "primary"
-        backup = (
-            leg(second)
-            if hedgeable and self.failover.hedge_secondary
+        backup = None
+        if (
+            failover and hedgeable and self.failover.hedge_secondary
             and self.hedge is not None
-            else None
+        ):
+            backup = self._leg(kind, make, hedgeable, spans, call_span,
+                               counter, second)
+        factory = self._attempt(
+            kind,
+            self._leg(kind, make, hedgeable, spans, call_span, counter, first),
+            hedgeable,
+            backup,
         )
-        factory = self._attempt(kind, leg(first), hedgeable, backup)
-        used = first
+        result, error, retries = yield from with_retries(
+            env, factory, self.retry, self.timeout_s, kind, self.budget,
+            self.breaker,
+        )
+        used = first or "primary"
+        if failover and error is not None and is_transport_failure(error):
+            # The whole first-replica pass failed at transport level:
+            # one more full retry pass, other replica.
+            used = second
+            result, error, more = yield from with_retries(
+                env,
+                self._leg(kind, make, hedgeable, spans, call_span, counter,
+                          second),
+                self.retry, self.timeout_s, kind, self.budget, self.breaker,
+            )
+            retries += more
+            if error is None:
+                self.failovers += 1
+                pin_s = self.failover.pin_secondary_s
+                if second == "secondary" and pin_s > 0:
+                    self._pinned_until = env.now + pin_s
+        if error is None and self.on_commit is not None:
+            self.on_commit(kind, used)
+        status = OK if error is None else type(error).__name__
+        if self.tracer is not None:
+            # Filed under the replica that served the call (on failure,
+            # the last one tried).
+            served = secondary if used == "secondary" else self._primary
+            self.tracer.observe_call(RequestTrace(
+                getattr(served, "name", "service"), kind, started_at,
+                env.now, retries=retries, outcome=status,
+            ))
+        if call_span is not None:
+            call_span.attributes["retries"] = retries
+            if secondary is not None:
+                call_span.attributes["replica"] = used
+            spans.finish(call_span, env.now, status)
+        if outcome is not None:
+            outcome.finished_at = env.now
+            outcome.error = error
+            outcome.retries = retries
+        if error is None or outcome is not None:
+            return result  # None when the call failed
         try:
-            try:
-                result = yield from with_retries(
-                    self.env, factory, self.retry, self.timeout_s, kind,
-                    on_retry=count_retry,
-                    budget=self.budget, breaker=self.breaker,
-                )
-            except Exception as error:
-                if not is_transport_failure(error):
-                    raise
-                # The whole first-replica pass failed at transport
-                # level: one more full retry pass, other replica.
-                result = yield from with_retries(
-                    self.env, leg(second), self.retry, self.timeout_s,
-                    kind, on_retry=count_retry,
-                    budget=self.budget, breaker=self.breaker,
-                )
-                used = second
-                self._note_failover(second)
-        except Exception as error:
-            self._trace_call(kind, started_at, retries[0], error)
-            if spans is not None and call_span is not None:
-                call_span.attributes["retries"] = retries[0]
-                spans.finish(call_span, self.env.now, type(error).__name__)
-            raise
-        self._commit_hook(kind, used)
-        self._trace_call(kind, started_at, retries[0], None)
-        if spans is not None and call_span is not None:
-            call_span.attributes["retries"] = retries[0]
-            call_span.attributes["replica"] = used
-            spans.finish(call_span, self.env.now)
-        return result
+            raise error
+        finally:
+            # The traceback holds this frame: drop the local, or the
+            # two keep each other alive as a cycle.
+            del error
 
     def _call_measured(
         self,
@@ -397,102 +379,10 @@ class ServiceClient:
         hedgeable: bool = False,
     ) -> Generator:
         """Measured variant: ``(result_or_None, OperationOutcome)``."""
-        spans = self._span_tracer()
-        call_span = None
-        counter = [0]
-        if spans is not None:
-            call_span = spans.start(
-                f"call:{kind}",
-                spanlib.CLIENT,
-                self.env.now,
-                parent=spans.current,
-                op=kind,
-            )
-        started_at = self.env.now
-
-        def leg(replica: Optional[str]) -> Callable[[], Generator]:
-            return self._leg(kind, make, hedgeable, spans, call_span,
-                             counter, replica)
-
-        if not self._use_failover():
-            replica = None if self.secondary is None else (
-                self._default_replica()
-            )
-            factory = self._attempt(kind, leg(replica), hedgeable)
-            result, outcome = yield from measured_call(
-                self.env, factory, self.retry, self.timeout_s, kind,
-                budget=self.budget, breaker=self.breaker,
-            )
-            used = replica or "primary"
-        else:
-            first = self._default_replica()
-            second = "secondary" if first == "primary" else "primary"
-            backup = (
-                leg(second)
-                if hedgeable and self.failover.hedge_secondary
-                and self.hedge is not None
-                else None
-            )
-            factory = self._attempt(kind, leg(first), hedgeable, backup)
-            result, outcome = yield from measured_call(
-                self.env, factory, self.retry, self.timeout_s, kind,
-                budget=self.budget, breaker=self.breaker,
-            )
-            used = first
-            if outcome.error is not None and is_transport_failure(
-                outcome.error
-            ):
-                result, second_outcome = yield from measured_call(
-                    self.env, leg(second), self.retry, self.timeout_s,
-                    kind, budget=self.budget, breaker=self.breaker,
-                )
-                outcome = OperationOutcome(
-                    started_at,
-                    self.env.now,
-                    second_outcome.error,
-                    outcome.retries + second_outcome.retries,
-                )
-                used = second
-                if second_outcome.ok:
-                    self._note_failover(second)
-        if outcome.ok:
-            self._commit_hook(kind, used)
-        self._trace_call(kind, started_at, outcome.retries, outcome.error)
-        if spans is not None and call_span is not None:
-            call_span.attributes["retries"] = outcome.retries
-            if self.secondary is not None:
-                call_span.attributes["replica"] = used
-            spans.finish(
-                call_span,
-                self.env.now,
-                "ok" if outcome.error is None
-                else type(outcome.error).__name__,
-            )
+        now = self.env.now
+        outcome = OperationOutcome(now, now)
+        result = yield from self._call(kind, make, hedgeable, outcome)
         return result, outcome
-
-    def _commit_hook(self, kind: str, replica: str) -> None:
-        if self.on_commit is not None:
-            self.on_commit(kind, replica)
-
-    def _trace_call(
-        self,
-        kind: str,
-        started_at: float,
-        retries: int,
-        error: Optional[BaseException],
-    ) -> None:
-        if self.tracer is None:
-            return
-        self.tracer.observe_call(
-            RequestTrace(
-                service=getattr(self.service, "name", "service"),
-                op=kind,
-                started_at=started_at,
-                finished_at=self.env.now,
-                retries=retries,
-                outcome=OK if error is None else type(error).__name__,
-            )
-        )
 
 
 __all__ = ["FailoverPolicy", "ServiceClient"]

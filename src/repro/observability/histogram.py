@@ -73,16 +73,20 @@ class Histogram:
         return lo * math.sqrt(self.growth)
 
     def observe(self, value: float) -> None:
+        # Runs once per traced request: min/max are plain comparisons.
         value = float(value)
         self._n += 1
         self._sum += value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
         if value <= 0.0:
             self._zero += 1
             return
         idx = self._index(value)
-        self._counts[idx] = self._counts.get(idx, 0) + 1
+        counts = self._counts
+        counts[idx] = counts.get(idx, 0) + 1
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:

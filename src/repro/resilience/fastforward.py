@@ -261,7 +261,7 @@ def _run_budget_ledger(
         if c <= CAT_OK_WRITE:
             continue
         # First pass fails: up to max_r granted retries, one shed ends
-        # the pass (with_retries raises on the first failed spend).
+        # the pass (with_retries gives up on the first failed spend).
         g = 0
         while g < max_r:
             if tokens >= 1.0:

@@ -51,6 +51,7 @@ from repro.scenarios.spec import (
 )
 from repro.service.tracing import RequestTracer
 from repro.simcore import Environment, RandomStreams
+from repro.storage.table import make_entity
 from repro.workloads.harness import (
     ClientRun,
     Platform,
@@ -268,7 +269,6 @@ def _setup_services(
     the same calls, in the same order, as the benches (no events, no
     RNG draws, so setup never perturbs the measured run)."""
     from repro.storage.queue import QueueMessage
-    from repro.storage.table import make_entity
 
     parts = router.n_partitions if router is not None else None
     all_ops = spec.all_ops
@@ -460,8 +460,6 @@ def _execute_op(
 ) -> Generator:
     """One service operation, with partition routing, size draws and
     the optional last-mile link wrapped around the service call."""
-    from repro.storage.table import make_entity
-
     env = ctx.env
     client = clients[op.service]
     part = ctx.choose_partition()

@@ -36,7 +36,7 @@ from typing import Any, Callable, Generator, Optional, Tuple, Union
 import numpy as np
 
 from repro.observability import spans as spanlib
-from repro.observability.spans import SpanTracer
+from repro.observability.spans import Span, SpanTracer
 from repro.service.spec import OpSpec
 from repro.service.tracing import RequestTrace, RequestTracer
 
@@ -152,8 +152,8 @@ class RequestPipeline:
         2. *base latency* — one ``latency.draw`` over ``base_latency_s``;
         3. ``precheck()`` — early semantic validation;
         4. *routing* — ``router(route)`` picks the partition server and
-           ``op`` (evaluated now if callable) runs on it, measuring
-           queue/latch wait through the server's observer hook;
+           ``op`` (evaluated now if callable) runs on it; the server
+           returns the request's queue/latch wait;
         5. *work* — a deterministic ``work_s`` server-side delay;
         6. *transfer* — the flow runs on ``network`` with connection
            accounting and a ``poke`` on completion;
@@ -161,44 +161,33 @@ class RequestPipeline:
            request's result.
 
         Exactly one trace record is emitted per request, successful or
-        not, carrying the stage timings observed up to the outcome.
-        When the tracer carries a
+        not, carrying the stage timings observed up to the outcome: the
+        timings are kept in locals and the :class:`RequestTrace` is
+        built once, when the request ends.  The routed server's
+        queue/latch wait is the value ``server.execute`` returns.
+
+        When the tracer carries an enabled
         :class:`~repro.observability.spans.SpanTracer`, the request also
         emits a span tree — one server span (parented under the ambient
         client-attempt context if one is bound) with one child per
         executed stage, wait spans under the routing stage, and a flow
         span under the transfer stage.  Span capture reads the clock
-        only: no RNG draw, no kernel event.
+        only: no RNG draw, no kernel event.  With spans off, no span
+        helper or observer is made at all.
         """
         env = self.env
-        trace = RequestTrace(
-            service=self.service,
-            op=kind,
-            started_at=env.now,
-            finished_at=env.now,
-        )
-        spans = self._span_tracer()
-        server_span = None
+        tracer = self.tracer
+        started_at = env.now
+        size_mb = base_s = queue_wait_s = server_s = transfer_s = 0.0
+        spans = getattr(tracer, "spans", None)
+        if spans is not None and not spans.enabled:
+            spans = None
+        server_span: Optional[Span] = None
         if spans is not None:
             server_span = spans.start(
-                f"{self.service}.{kind}",
-                spanlib.SERVER,
-                env.now,
-                parent=spans.current,
-                service=self.service,
-                op=kind,
+                f"{self.service}.{kind}", spanlib.SERVER, started_at,
+                parent=spans.current, service=self.service, op=kind,
             )
-
-        def stage_span(name: str, start_s: float, **attrs: Any) -> None:
-            if spans is not None and server_span is not None:
-                spans.emit(
-                    f"stage:{name}",
-                    spanlib.STAGE,
-                    start_s,
-                    env.now,
-                    parent=server_span.context,
-                    **attrs,
-                )
 
         try:
             if admit:
@@ -206,19 +195,21 @@ class RequestPipeline:
                 if injector is not None:
                     entered = env.now
                     yield from injector.intercept(self.owner, admit_op)
-                    stage_span("admission", entered)
+                    if server_span is not None:
+                        _stage_span(spans, server_span, "admission", entered, env.now)
 
             if base_latency_s > 0:
-                delay = self.latency.draw(self.rng, base_latency_s)
-                trace.base_latency_s = delay
+                base_s = self.latency.draw(self.rng, base_latency_s)
                 entered = env.now
-                yield env.timeout(delay)
-                stage_span("base_latency", entered)
+                yield env.timeout(base_s)
+                if server_span is not None:
+                    _stage_span(spans, server_span, "base_latency", entered, env.now)
 
             if precheck is not None:
                 entered = env.now
                 precheck()
-                stage_span("precheck", entered)
+                if server_span is not None:
+                    _stage_span(spans, server_span, "precheck", entered, env.now)
 
             if route is not None:
                 if self.router is None:
@@ -232,47 +223,21 @@ class RequestPipeline:
                     raise ValueError(
                         f"{self.service}: routed op {kind!r} needs an OpSpec"
                     )
-                trace.size_mb = spec.payload_mb
-                waited = [0.0]
-                routing_span = None
-                if spans is not None and server_span is not None:
-                    routing_span = spans.start(
-                        "stage:routing",
-                        spanlib.STAGE,
-                        env.now,
-                        parent=server_span.context,
-                        payload_mb=spec.payload_mb,
-                    )
-
-                def observe_wait(stage: str, seconds: float) -> None:
-                    # Only queue/latch waits count as queue_wait_s; other
-                    # observer stages are span-only measurements.
-                    if stage.endswith("_wait"):
-                        waited[0] += seconds
-                    if spans is not None and routing_span is not None:
-                        spans.emit(
-                            stage,
-                            spanlib.WAIT
-                            if stage.endswith("_wait")
-                            else spanlib.STAGE,
-                            env.now - seconds,
-                            env.now,
-                            parent=routing_span.context,
-                        )
-
+                size_mb = spec.payload_mb
                 entered = env.now
-                try:
-                    yield from server.execute(spec, observer=observe_wait)
-                finally:
-                    if spans is not None and routing_span is not None:
-                        spans.finish(routing_span, env.now)
-                trace.server_s = env.now - entered
-                trace.queue_wait_s = waited[0]
+                if server_span is None:
+                    queue_wait_s = yield from server.execute(spec)
+                else:
+                    queue_wait_s = yield from _spanned_routing(
+                        env, spans, server_span, server, spec
+                    )
+                server_s = env.now - entered
 
             if work_s > 0:
                 entered = env.now
                 yield env.timeout(work_s)
-                stage_span("work", entered)
+                if server_span is not None:
+                    _stage_span(spans, server_span, "work", entered, env.now)
 
             if transfer is not None:
                 xfer = transfer() if callable(transfer) else transfer
@@ -281,8 +246,8 @@ class RequestPipeline:
                         f"{self.service}: op {kind!r} transfers but the"
                         " pipeline has no network"
                     )
-                trace.size_mb = xfer.size_mb
-                started = env.now
+                size_mb = xfer.size_mb
+                entered = env.now
                 if xfer.acquire is not None:
                     xfer.acquire()
                 try:
@@ -296,52 +261,77 @@ class RequestPipeline:
                     # Connection release changes front-end caps; let the
                     # network re-solve the affected component.
                     self.network.poke()
-                trace.transfer_s = env.now - started
-                if spans is not None and server_span is not None:
+                transfer_s = env.now - entered
+                if server_span is not None:
                     stage = spans.start(
-                        "stage:transfer",
-                        spanlib.STAGE,
-                        started,
-                        parent=server_span.context,
-                        size_mb=xfer.size_mb,
+                        "stage:transfer", spanlib.STAGE, entered,
+                        parent=server_span.context, size_mb=xfer.size_mb,
                     )
                     spans.emit(
                         f"flow:{xfer.label}" if xfer.label else "flow",
-                        spanlib.FLOW,
-                        started,
-                        env.now,
-                        parent=stage.context,
-                        size_mb=xfer.size_mb,
+                        spanlib.FLOW, entered, env.now,
+                        parent=stage.context, size_mb=xfer.size_mb,
                     )
                     spans.finish(stage, env.now)
 
             if commit is not None:
                 entered = env.now
                 result = commit()
-                stage_span("commit", entered)
+                if server_span is not None:
+                    _stage_span(spans, server_span, "commit", entered, env.now)
             else:
                 result = None
         except BaseException as error:
-            trace.outcome = type(error).__name__
-            trace.finished_at = env.now
-            if self.tracer is not None:
-                self.tracer.observe(trace)
-            if spans is not None and server_span is not None:
-                spans.finish(server_span, env.now, type(error).__name__)
+            outcome = type(error).__name__
+            if tracer is not None:
+                tracer.observe(RequestTrace(
+                    self.service, kind, started_at, env.now, size_mb,
+                    base_s, queue_wait_s, server_s, transfer_s, 0, outcome,
+                ))
+            if server_span is not None:
+                spans.finish(server_span, env.now, outcome)
             raise
-        trace.finished_at = env.now
-        if self.tracer is not None:
-            self.tracer.observe(trace)
-        if spans is not None and server_span is not None:
+        if tracer is not None:
+            tracer.observe(RequestTrace(
+                self.service, kind, started_at, env.now, size_mb, base_s,
+                queue_wait_s, server_s, transfer_s,
+            ))
+        if server_span is not None:
             spans.finish(server_span, env.now)
         return result
 
-    def _span_tracer(self) -> Optional[SpanTracer]:
-        """The attached span collector, if any and enabled."""
-        spans = getattr(self.tracer, "spans", None)
-        if spans is None or not spans.enabled:
-            return None
-        return spans
+
+def _stage_span(
+    spans: SpanTracer, server_span: Span, name: str, start_s: float,
+    end_s: float,
+) -> None:
+    """One ``stage:<name>`` child of the server span."""
+    spans.emit(
+        f"stage:{name}", spanlib.STAGE, start_s, end_s,
+        parent=server_span.context,
+    )
+
+
+def _spanned_routing(
+    env: Any, spans: SpanTracer, server_span: Span, server: Any, spec: OpSpec
+) -> Generator:
+    """``server.execute(spec)`` under a ``stage:routing`` span, with one
+    child span per wait or busy segment the server reports."""
+    routing_span = spans.start(
+        "stage:routing", spanlib.STAGE, env.now,
+        parent=server_span.context, payload_mb=spec.payload_mb,
+    )
+    parent = routing_span.context
+
+    def observe(stage: str, seconds: float) -> None:
+        kind = spanlib.WAIT if stage.endswith("_wait") else spanlib.STAGE
+        spans.emit(stage, kind, env.now - seconds, env.now, parent=parent)
+
+    try:
+        waited = yield from server.execute(spec, observer=observe)
+    finally:
+        spans.finish(routing_span, env.now)
+    return waited
 
 
 __all__ = ["LatencyProfile", "RequestPipeline", "TransferSpec"]

@@ -29,7 +29,6 @@ emit one causal span tree per request (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +39,6 @@ from repro.observability.histogram import Histogram
 OK = "ok"
 
 
-@dataclass
 class RequestTrace:
     """One request (or one client call) through the unified pipeline.
 
@@ -48,19 +46,60 @@ class RequestTrace:
     exception class name that terminated the request.  For server-side
     records ``retries`` is always 0; client-call records carry the
     retry count of the whole call.
+
+    Slotted (one is built per request and per client call), with the
+    construction, defaults, equality, repr and unhashability of a plain
+    dataclass with these fields.
     """
 
-    service: str
-    op: str
-    started_at: float
-    finished_at: float
-    size_mb: float = 0.0
-    base_latency_s: float = 0.0
-    queue_wait_s: float = 0.0
-    server_s: float = 0.0
-    transfer_s: float = 0.0
-    retries: int = 0
-    outcome: str = OK
+    __slots__ = (
+        "service", "op", "started_at", "finished_at", "size_mb",
+        "base_latency_s", "queue_wait_s", "server_s", "transfer_s",
+        "retries", "outcome",
+    )
+
+    def __init__(
+        self,
+        service: str,
+        op: str,
+        started_at: float,
+        finished_at: float,
+        size_mb: float = 0.0,
+        base_latency_s: float = 0.0,
+        queue_wait_s: float = 0.0,
+        server_s: float = 0.0,
+        transfer_s: float = 0.0,
+        retries: int = 0,
+        outcome: str = OK,
+    ) -> None:
+        self.service = service
+        self.op = op
+        self.started_at = started_at
+        self.finished_at = finished_at
+        self.size_mb = size_mb
+        self.base_latency_s = base_latency_s
+        self.queue_wait_s = queue_wait_s
+        self.server_s = server_s
+        self.transfer_s = transfer_s
+        self.retries = retries
+        self.outcome = outcome
+
+    # Mutable and compared by value, so unhashable.
+    __hash__ = None  # type: ignore[assignment]
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def ok(self) -> bool:
@@ -69,6 +108,23 @@ class RequestTrace:
     @property
     def latency_s(self) -> float:
         return self.finished_at - self.started_at
+
+
+def _request_totals() -> Dict[str, float]:
+    """Fresh running sums for one server-side ``(service, op)``."""
+    return {
+        "count": 0.0,
+        "errors": 0.0,
+        "latency_s": 0.0,
+        "queue_wait_s": 0.0,
+        "transfer_s": 0.0,
+        "size_mb": 0.0,
+    }
+
+
+def _call_totals() -> Dict[str, float]:
+    """Fresh running sums for one client-call ``(service, op)``."""
+    return {"count": 0.0, "errors": 0.0, "retries": 0.0}
 
 
 class RequestTracer:
@@ -112,25 +168,73 @@ class RequestTracer:
 
     # -- ingestion ---------------------------------------------------------
     def observe(self, trace: RequestTrace) -> None:
-        """Record one server-side request trace."""
+        """Record one server-side request trace: counters, the
+        ``(service, op)`` sums and histogram, and the window row, in
+        one pass."""
         if not self.enabled:
             return
+        key = (trace.service, trace.op)
+        latency = trace.finished_at - trace.started_at
+        agg = self._per_op.get(key)
+        if agg is None:
+            agg = self._per_op[key] = _request_totals()
         self.total += 1
-        if not trace.ok:
+        agg["count"] += 1
+        agg["latency_s"] += latency
+        agg["queue_wait_s"] += trace.queue_wait_s
+        agg["transfer_s"] += trace.transfer_s
+        agg["size_mb"] += trace.size_mb
+        if trace.outcome == OK:
+            hist = self._latency.get(key)
+            if hist is None:
+                hist = self._latency[key] = Histogram(f"{trace.service}.{trace.op}")
+            hist.observe(latency)
+        else:
             self.errors += 1
-        self._fold(trace)
-        self._append(self.REQUEST_KIND, trace)
+            agg["errors"] += 1
+        rows = self._rows
+        rows.append((
+            self.REQUEST_KIND, trace.service, trace.op, trace.started_at,
+            trace.finished_at, trace.size_mb, trace.base_latency_s,
+            trace.queue_wait_s, trace.server_s, trace.transfer_s,
+            trace.retries, trace.outcome,
+        ))
+        cap = self.capacity
+        if cap is not None and len(rows) >= cap + (cap // 4 or 1):
+            self._trim(cap)
 
     def observe_call(self, trace: RequestTrace) -> None:
         """Record one client-call trace (whole retried operation)."""
         if not self.enabled:
             return
+        key = (trace.service, trace.op)
+        agg = self._client_per_op.get(key)
+        if agg is None:
+            agg = self._client_per_op[key] = _call_totals()
         self.client_total += 1
-        if not trace.ok:
-            self.client_errors += 1
         self.retries += trace.retries
-        self._fold_client(trace)
-        self._append(self.CLIENT_KIND, trace)
+        agg["count"] += 1
+        agg["retries"] += trace.retries
+        if trace.outcome == OK:
+            hist = self._client_latency.get(key)
+            if hist is None:
+                hist = self._client_latency[key] = Histogram(
+                    f"{trace.service}.{trace.op}.call"
+                )
+            hist.observe(trace.finished_at - trace.started_at)
+        else:
+            self.client_errors += 1
+            agg["errors"] += 1
+        rows = self._rows
+        rows.append((
+            self.CLIENT_KIND, trace.service, trace.op, trace.started_at,
+            trace.finished_at, trace.size_mb, trace.base_latency_s,
+            trace.queue_wait_s, trace.server_s, trace.transfer_s,
+            trace.retries, trace.outcome,
+        ))
+        cap = self.capacity
+        if cap is not None and len(rows) >= cap + (cap // 4 or 1):
+            self._trim(cap)
 
     def observe_batch(
         self,
@@ -175,8 +279,7 @@ class RequestTracer:
             self.client_errors += errors
             agg = self._client_per_op.get(key)
             if agg is None:
-                agg = {"count": 0.0, "errors": 0.0, "retries": 0.0}
-                self._client_per_op[key] = agg
+                agg = self._client_per_op[key] = _call_totals()
             agg["count"] += total_n
             agg["errors"] += errors
             if n:
@@ -190,15 +293,7 @@ class RequestTracer:
         self.errors += errors
         agg = self._per_op.get(key)
         if agg is None:
-            agg = {
-                "count": 0.0,
-                "errors": 0.0,
-                "latency_s": 0.0,
-                "queue_wait_s": 0.0,
-                "transfer_s": 0.0,
-                "size_mb": 0.0,
-            }
-            self._per_op[key] = agg
+            agg = self._per_op[key] = _request_totals()
         agg["count"] += total_n
         agg["errors"] += errors
         agg["latency_s"] += float(arr.sum())
@@ -215,66 +310,13 @@ class RequestTracer:
                 self._latency[key] = hist
             hist.observe_batch(arr)
 
-    def _fold(self, trace: RequestTrace) -> None:
-        key = (trace.service, trace.op)
-        agg = self._per_op.get(key)
-        if agg is None:
-            agg = {
-                "count": 0.0,
-                "errors": 0.0,
-                "latency_s": 0.0,
-                "queue_wait_s": 0.0,
-                "transfer_s": 0.0,
-                "size_mb": 0.0,
-            }
-            self._per_op[key] = agg
-        agg["count"] += 1
-        if not trace.ok:
-            agg["errors"] += 1
-        agg["latency_s"] += trace.latency_s
-        agg["queue_wait_s"] += trace.queue_wait_s
-        agg["transfer_s"] += trace.transfer_s
-        agg["size_mb"] += trace.size_mb
-        if trace.ok:
-            hist = self._latency.get(key)
-            if hist is None:
-                hist = Histogram(f"{trace.service}.{trace.op}")
-                self._latency[key] = hist
-            hist.observe(trace.latency_s)
-
-    def _fold_client(self, trace: RequestTrace) -> None:
-        key = (trace.service, trace.op)
-        agg = self._client_per_op.get(key)
-        if agg is None:
-            agg = {"count": 0.0, "errors": 0.0, "retries": 0.0}
-            self._client_per_op[key] = agg
-        agg["count"] += 1
-        if not trace.ok:
-            agg["errors"] += 1
-        agg["retries"] += trace.retries
-        if trace.ok:
-            hist = self._client_latency.get(key)
-            if hist is None:
-                hist = Histogram(f"{trace.service}.{trace.op}.call")
-                self._client_latency[key] = hist
-            hist.observe(trace.latency_s)
-
-    def _append(self, kind: str, trace: RequestTrace) -> None:
-        rows = self._rows
-        rows.append((
-            kind, trace.service, trace.op, trace.started_at,
-            trace.finished_at, trace.size_mb, trace.base_latency_s,
-            trace.queue_wait_s, trace.server_s, trace.transfer_s,
-            trace.retries, trace.outcome,
-        ))
-        cap = self.capacity
-        if cap is None:
-            return
-        # Trim in blocks so retention is O(1) amortized per record.
-        if len(rows) >= cap + max(cap // 4, 1):
-            drop = len(rows) - cap
-            del rows[:drop]
-            self.dropped += drop
+    def _trim(self, cap: int) -> None:
+        """Drop the oldest rows down to ``cap``.  The window is trimmed
+        in blocks (at ``cap`` plus a quarter), so retention costs O(1)
+        amortized per record."""
+        drop = len(self._rows) - cap
+        del self._rows[:drop]
+        self.dropped += drop
 
     def _rebuild(self, kind: str) -> List[RequestTrace]:
         return [RequestTrace(*row[1:]) for row in self._rows if row[0] == kind]

@@ -27,6 +27,14 @@ def _run(env, gen):
     return box.get("result"), box.get("error")
 
 
+def _run_retries(env, gen):
+    """Run ``with_retries``: its final error comes back as a value."""
+    triple, raised = _run(env, gen)
+    assert raised is None
+    result, error, _retries = triple
+    return result, error
+
+
 def _slow_op(env, duration, value="done", error=None):
     yield env.timeout(duration)
     if error is not None:
@@ -102,7 +110,7 @@ def test_with_retries_retries_retryable_errors():
         return "ok"
 
     policy = RetryPolicy(max_retries=3, backoff_s=1.0)
-    result, err = _run(env, with_retries(env, flaky, policy, None))
+    result, err = _run_retries(env, with_retries(env, flaky, policy, None))
     assert err is None and result == "ok"
     assert attempts["n"] == 3
     # Two backoffs: 1.0 + 2.0, plus three 0.1s attempts.
@@ -119,7 +127,7 @@ def test_with_retries_gives_up_after_max():
         raise ServerBusyError("busy")
 
     policy = RetryPolicy(max_retries=2, backoff_s=0.5)
-    _, err = _run(env, with_retries(env, always_busy, policy, None))
+    _, err = _run_retries(env, with_retries(env, always_busy, policy, None))
     assert isinstance(err, ServerBusyError)
     assert attempts["n"] == 3  # initial + 2 retries
 
@@ -134,7 +142,7 @@ def test_with_retries_never_retries_semantic_errors():
         raise EntityNotFoundError("missing")
 
     policy = RetryPolicy(max_retries=5)
-    _, err = _run(env, with_retries(env, not_found, policy, None))
+    _, err = _run_retries(env, with_retries(env, not_found, policy, None))
     assert isinstance(err, EntityNotFoundError)
     assert attempts["n"] == 1
 
@@ -254,7 +262,9 @@ def test_with_retries_still_retries_plain_exceptions_with_such_policy():
             raise ValueError("transient")
         return "ok"
 
-    result, err = _run(env, with_retries(env, flaky, _RetryEverything(), None))
+    result, err = _run_retries(
+        env, with_retries(env, flaky, _RetryEverything(), None)
+    )
     assert err is None and result == "ok"
     assert attempts["n"] == 3
 

@@ -1,5 +1,7 @@
 """Tests for replica-aware client routing: failover, hedging, spans."""
 
+import pytest
+
 from repro.client import TableClient
 from repro.client.service_client import FailoverPolicy
 from repro.faults import FaultInjector
@@ -11,6 +13,7 @@ from repro.simcore import Environment, RandomStreams
 from repro.storage import (
     AccountFailoverError,
     GeoReplicatedAccount,
+    OperationTimeoutError,
     ReplicationConfig,
     StorageAccount,
 )
@@ -246,3 +249,67 @@ def test_failover_counts_in_measured_calls_too():
     env.process(scenario(env))
     env.run()
     assert client.failovers == 1
+
+
+def _time_out_queries(env, replica):
+    """Make ``replica``'s table ``query`` fail with a server timeout."""
+
+    def query(table, pk, rk):
+        yield env.timeout(0.01)
+        raise OperationTimeoutError(
+            "query timed out", service=replica.tables.name, op="table.query"
+        )
+
+    replica.tables.query = query
+
+
+def _call_query(env, client, measured):
+    box = {}
+
+    def scenario(env):
+        if measured:
+            box["result"], box["outcome"] = yield from client.query_measured(
+                "t", "hot", "hot"
+            )
+            return
+        try:
+            box["result"] = yield from client.query("t", "hot", "hot")
+        except OperationTimeoutError as exc:
+            box["error"] = exc
+
+    env.process(scenario(env))
+    env.run()
+    return box
+
+
+@pytest.mark.parametrize("measured", [False, True])
+def test_call_trace_names_the_replica_that_served_the_failover(measured):
+    env, geo = _geo()
+    _time_out_queries(env, geo.primary)
+    client = geo.table_client(retry=NO_RETRY)
+    box = _call_query(env, client, measured)
+    assert box["result"].key == ("hot", "hot")
+    assert client.failovers == 1
+    key = ("geo-secondary.tables", "table.query")
+    assert key in geo.tracer.per_service_op_totals()
+    calls = geo.tracer.client_per_op_totals()
+    assert list(calls) == [key]
+    assert calls[key]["count"] == 1 and calls[key]["errors"] == 0
+    assert [c.service for c in geo.tracer.client_calls()] == [key[0]]
+
+
+@pytest.mark.parametrize("measured", [False, True])
+def test_failed_call_trace_names_the_last_replica_tried(measured):
+    env, geo = _geo()
+    _time_out_queries(env, geo.primary)
+    _time_out_queries(env, geo.secondary)
+    client = geo.table_client(retry=NO_RETRY)
+    box = _call_query(env, client, measured)
+    if measured:
+        assert box["result"] is None and not box["outcome"].ok
+    else:
+        assert isinstance(box["error"], OperationTimeoutError)
+    assert client.failovers == 0
+    calls = geo.tracer.client_per_op_totals()
+    assert list(calls) == [("geo-secondary.tables", "table.query")]
+    assert calls[("geo-secondary.tables", "table.query")]["errors"] == 1

@@ -23,6 +23,14 @@ def _run(env, gen):
     return box.get("result"), box.get("error")
 
 
+def _run_retries(env, gen):
+    """Run ``with_retries``: its final error comes back as a value."""
+    triple, raised = _run(env, gen)
+    assert raised is None
+    result, error, _retries = triple
+    return result, error
+
+
 def test_initial_tokens_and_deposits():
     budget = RetryBudget(ratio=0.5, initial_tokens=2.0, max_tokens=3.0)
     assert budget.tokens == 2.0
@@ -72,7 +80,7 @@ def test_with_retries_sheds_when_budget_empty():
 
     budget = RetryBudget(ratio=0.0, initial_tokens=1.0)
     policy = RetryPolicy(max_retries=10, backoff_s=1.0)
-    _, err = _run(
+    _, err = _run_retries(
         env, with_retries(env, always_busy, policy, None, budget=budget)
     )
     assert isinstance(err, ServerBusyError)
@@ -103,10 +111,12 @@ def test_budget_is_shared_across_calls():
 
     # Two clean calls deposit 1.0 token between them...
     for _ in range(2):
-        _, err = _run(env, with_retries(env, ok, policy, None, budget=budget))
+        _, err = _run_retries(
+            env, with_retries(env, ok, policy, None, budget=budget)
+        )
         assert err is None
     # ...which funds the flaky call's single retry.
-    result, err = _run(
+    result, err = _run_retries(
         env, with_retries(env, flaky_once, policy, None, budget=budget)
     )
     assert err is None and result == "ok"

@@ -18,10 +18,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.client import ClientTimeoutError, race_timeout
+from repro.client import ClientTimeoutError, TableClient, race_timeout
+from repro.client.base import measured_call, with_retries
+from repro.resilience.backoff import RetryPolicy
 from repro.scenarios.driver import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.simcore import Environment, Interrupt, Race
+from repro.storage.errors import EntityNotFoundError, ServerBusyError
 from repro.workloads.harness import build_platform
 
 
@@ -125,6 +128,69 @@ def test_client_race_timeout_leaves_no_cyclic_garbage():
         env.run()
         assert gc.collect() == 0
     assert outcomes == {"ok": 30, "timeout": 30, "failed": 30}
+
+
+def test_client_retry_paths_leave_no_cyclic_garbage():
+    """``with_retries`` hands failures back as values, and it and
+    ``measured_call`` must not keep the failed attempt's frames alive
+    through the error's traceback."""
+    policy = RetryPolicy(max_retries=1, backoff_s=0.1)
+    cases = [(0.5, None), (2.0, None), (0.5, ServerBusyError), (0.5, ValueError)]
+    outcomes = {"ok": 0, "failed": 0}
+
+    def op(env, delay, error):
+        yield env.timeout(delay)
+        if error is not None:
+            raise error("attempt failed")
+        return delay
+
+    def caller(env, face, delay, error):
+        make = lambda: op(env, delay, error)  # noqa: E731
+        if face == "measured":
+            _result, outcome = yield from measured_call(env, make, policy, 1.0)
+            failed = not outcome.ok
+        else:
+            _result, error_value, _retries = yield from with_retries(
+                env, make, policy, 1.0
+            )
+            failed = error_value is not None
+        outcomes["failed" if failed else "ok"] += 1
+
+    with _collector_off():
+        env = Environment()
+        for face in ("loop", "measured"):
+            for delay, error in cases:
+                env.process(caller(env, face, delay, error))
+        env.run()
+        assert gc.collect() == 0
+    # Per face: one success; a timeout, a retried busy error and a
+    # semantic error fail.
+    assert outcomes == {"ok": 2, "failed": 6}
+
+
+def test_failed_service_client_calls_leave_no_cyclic_garbage():
+    """A typed client call that fails, raising or measured."""
+    outcomes = {"raised": 0, "measured": 0}
+
+    def caller(client, row):
+        try:
+            yield from client.query("t", "p", row)
+        except EntityNotFoundError:
+            outcomes["raised"] += 1
+        _result, outcome = yield from client.query_measured("t", "p", row)
+        outcomes["measured"] += not outcome.ok
+
+    with _collector_off():
+        platform = build_platform(seed=3, n_clients=4)
+        tables = platform.account.tables
+        tables.create_table("t")
+        for i in range(4):
+            platform.env.process(
+                caller(TableClient(tables, timeout_s=30.0), f"missing-{i}")
+            )
+        platform.env.run()
+        assert gc.collect() == 0
+    assert outcomes == {"raised": 4, "measured": 4}
 
 
 @pytest.mark.parametrize(

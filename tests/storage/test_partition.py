@@ -287,3 +287,47 @@ def test_shed_request_error_carries_server_context():
     assert isinstance(err, OperationTimeoutError)
     assert err.service == server.name
     assert err.op == "big"
+
+
+def test_execute_returns_the_queue_wait_it_reports_to_the_observer():
+    """The returned wait is the sum of the ``*_wait`` stages the
+    observer sees (CPU-pool plus latch queueing), per request."""
+    env = Environment()
+    server = _server(env, cores=1, frontend_c_s=0.002)
+    op = OpSpec(name="op", cpu_s=0.05, exclusive_s=0.03, latch_key="k")
+    rows = []
+
+    def client(env):
+        stages = []
+        waited = yield from server.execute(
+            op, observer=lambda stage, s: stages.append((stage, s))
+        )
+        rows.append((waited, stages))
+
+    for _ in range(6):
+        env.process(client(env))
+    env.run()
+    assert len(rows) == 6
+    for waited, stages in rows:
+        waits = [name for name, _ in stages if name.endswith("_wait")]
+        assert waits == ["cpu_wait", "latch_wait"]
+        expected = 0.0
+        for name, seconds in stages:
+            if name.endswith("_wait"):
+                expected += seconds
+        assert waited == expected
+    # Six requests on one core: all but the first queued for it.
+    assert sum(waited > 0 for waited, _ in rows) >= 5
+
+
+def test_execute_returns_zero_wait_without_cpu_or_latch():
+    env = Environment()
+    server = _server(env, frontend_c_s=0.0)
+    box = {}
+
+    def client(env):
+        box["waited"] = yield from server.execute(OpSpec(name="noop"))
+
+    env.process(client(env))
+    env.run()
+    assert box["waited"] == 0.0

@@ -433,3 +433,55 @@ def test_each_scan_gets_its_own_list():
     assert predicate.calls == 70
     assert len(results[2]) == len(later) == 10
     assert "junk" not in later
+
+
+def test_fixed_latch_ops_share_one_spec_per_kind_and_size():
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    specs = []
+    svc.pipeline.execute = _recording_execute(svc.pipeline.execute, specs)
+    for rk in ("a", "b"):
+        _run(env, svc.insert("t", make_entity("p", rk, size_kb=4.0)))
+    _run(env, svc.insert("t", make_entity("p", "c", size_kb=8.0)))
+    for rk in ("a", "b"):
+        _run(env, svc.query("t", "p", rk))
+        _run(env, svc.delete("t", "p", rk))
+    for _ in range(2):
+        _run(env, svc.update("t", make_entity("p", "c", size_kb=8.0)))
+    by_kind = {}
+    for kind, spec in specs:
+        by_kind.setdefault(kind, []).append(spec)
+    a, b, c = by_kind["table.insert"]
+    assert a is b and a is not c and c.payload_mb == 8.0 / 1024.0
+    for kind in ("table.query", "table.delete"):
+        first, second = by_kind[kind]
+        assert first is second
+    # Update latches on its entity: a fresh spec per call.
+    u1, u2 = by_kind["table.update"]
+    assert u1 == u2 and u1 is not u2
+    assert u1.latch_key == ("entity", ("p", "c"))
+
+
+def test_spec_cache_is_bounded(monkeypatch):
+    import repro.storage.table as table_mod
+
+    monkeypatch.setattr(table_mod, "_SPEC_CACHE_SIZE", 3)
+    svc = _svc(Environment())
+    specs = [svc._fixed_op("insert", float(kb)) for kb in range(1, 6)]
+    assert len(svc._specs) == 3
+    assert svc._fixed_op("insert", 1.0) is specs[0]
+    assert svc._fixed_op("insert", 5.0) is not specs[4]
+    assert svc._fixed_op("insert", 5.0) == specs[4]
+
+
+def _recording_execute(execute, specs):
+    def wrapper(kind, op=None, **kw):
+        def spec():
+            s = op() if callable(op) else op
+            specs.append((kind, s))
+            return s
+
+        return execute(kind, spec, **kw)
+
+    return wrapper
